@@ -1,10 +1,9 @@
 """Content-addressed result cache tier (see ARCHITECTURE.md, "Result cache").
 
 :class:`ResultCache` layers cross-campaign reuse over the per-campaign
-checkpoint store: exact hits return stored results byte-identically with
-``cache_hit`` provenance; near hits (opt-in) serve quick estimates with
-explicit ``near_hit`` provenance.  ``python -m repro.cache`` administers a
-cache directory (``ls``/``stats``/``gc``/``pin``/``unpin``).
+checkpoint store: exact hits return stored results byte-identically.
+``python -m repro.cache`` administers a cache directory
+(``ls``/``stats``/``gc``/``pin``/``unpin``).
 
 Consumers wire a cache in with the shared argparse helpers below — the
 experiment CLI (``python -m repro.experiments ... --cache-dir``) and the
@@ -16,13 +15,7 @@ from __future__ import annotations
 
 import argparse
 
-from .result_cache import (
-    CACHE_FORMAT_VERSION,
-    CacheHit,
-    CacheStats,
-    ResultCache,
-    neighbor_param,
-)
+from .result_cache import CacheStats, ResultCache
 
 
 def add_cache_args(parser: argparse.ArgumentParser) -> None:
@@ -35,13 +28,6 @@ def add_cache_args(parser: argparse.ArgumentParser) -> None:
              "DIR instead of re-simulating",
     )
     group.add_argument(
-        "--cache-near", action="store_true",
-        help="also serve *near* hits (same point at a lower n_instrs, or "
-             "one numeric knob away) as quick estimates carrying explicit "
-             "near_hit provenance; off by default so figures never "
-             "silently mix estimate and exact data",
-    )
-    group.add_argument(
         "--cache-max-mb", type=float, metavar="M",
         help="byte budget for --cache-dir; exceeding it evicts "
              "least-recently-used unpinned entries",
@@ -51,8 +37,6 @@ def add_cache_args(parser: argparse.ArgumentParser) -> None:
 def cache_from_args(args: argparse.Namespace) -> ResultCache | None:
     """Build the cache an invocation's ``--cache-*`` flags describe."""
     if not getattr(args, "cache_dir", None):
-        if getattr(args, "cache_near", False):
-            raise SystemExit("--cache-near requires --cache-dir")
         if getattr(args, "cache_max_mb", None) is not None:
             raise SystemExit("--cache-max-mb requires --cache-dir")
         return None
@@ -61,19 +45,12 @@ def cache_from_args(args: argparse.Namespace) -> ResultCache | None:
         if getattr(args, "cache_max_mb", None) is not None
         else None
     )
-    return ResultCache(
-        args.cache_dir,
-        near=bool(getattr(args, "cache_near", False)),
-        max_bytes=max_bytes,
-    )
+    return ResultCache(args.cache_dir, max_bytes=max_bytes)
 
 
 __all__ = [
-    "CACHE_FORMAT_VERSION",
-    "CacheHit",
     "CacheStats",
     "ResultCache",
     "add_cache_args",
     "cache_from_args",
-    "neighbor_param",
 ]

@@ -3,101 +3,44 @@
 The cache is a tier *above* the per-campaign checkpoint store
 (:mod:`repro.runner.store`): where a store answers "did **this campaign**
 already run this point?", the cache answers "did **anyone, ever** run it?".
-Entries are keyed by ``(config fingerprint, workload fingerprint,
-n_instrs)`` — the config fingerprint is the SHA-256 of the canonical config
-JSON (:func:`repro.runner.store.config_fingerprint`), the workload
-fingerprint (:func:`repro.plugins.workloads.workload_fingerprint`) the
-SHA-256 of the workload's *content* (kernel + parameters, trace-file bytes,
-or a mix's member tuple).  The key is therefore a full content address: any
-parameter change produces a different key, two machines that merely share a
-``name`` never collide, and — since workload names are display-only — two
-*workloads* that share (or sanitise to) the same name never collide either.
+Both tiers use one entry format (stem, envelope, writer, validating reader
+and ``*.corrupt`` quarantine, all in :mod:`repro.runner.store`), keyed by
+``(config fingerprint, workload fingerprint, n_instrs)`` — the SHA-256 of
+the canonical config JSON and of the workload's *content*.  The key is
+therefore a full content address: any parameter change produces a different
+key, two machines that merely share a ``name`` never collide, and two
+workloads that share (or sanitise to) the same name never collide either.
 
-Entries written before workload fingerprints existed used name-keyed stems;
-lookups fall back to those legacy stems (validating the payload's workload
-name), so an existing cache directory keeps serving exact hits without
-migration.  Legacy entries do not participate in *near* matching — re-run
-(or re-``put``) a point once to upgrade its entry.
+Only exact hits are served: the stored :class:`RunResult` is returned
+untouched, so a consumer that re-checkpoints it produces byte-identical
+JSON.  A checkpoint directory written by :class:`~repro.runner.store
+.ResultStore` is itself a valid cache directory.
 
-Two kinds of answers:
-
-* **Exact hits** — same key.  The stored :class:`RunResult` is returned
-  untouched, so a consumer that re-checkpoints it produces byte-identical
-  JSON; the ``{"cache_hit": True}`` provenance travels in
-  :attr:`CacheHit.provenance`, never inside the result payload.
-* **Near hits** (opt-in via ``near=True`` / ``--cache-near``) — a related
-  measurement served as a *quick estimate*: the same point at a **lower**
-  ``n_instrs``, or a machine differing in exactly **one numeric parameter**
-  (a neighboring value of a single swept knob).  The returned result is a
-  *copy* whose ``telemetry["cache"]`` carries
-  ``{near_hit, source_key, requested_n_instrs, ...}`` provenance, so
-  estimate data can never silently mix with exact data.  Near results must
-  never be written back into a store or the cache under the requested key.
-
-Durability and hygiene mirror the checkpoint store: entries are written
-with :func:`repro.ioutil.atomic_write_json` (first write wins — the cache
-is content-addressed, so a re-put of the same key is a no-op), unreadable
-or wrong-schema entries are *quarantined* to ``*.corrupt`` (numbered on
-collision) and counted, and :meth:`ResultCache.gc` evicts least-recently
-used entries down to a byte budget — except **pinned** entries (``*.pin``
-sidecars, e.g. golden-parity baselines), which are never evicted.
+What the cache adds over a checkpoint directory: first write wins (the
+cache is content-addressed, so a re-put of the same key is a no-op), every
+hit bumps the entry's mtime (the LRU clock), and :meth:`ResultCache.gc`
+evicts least-recently used entries down to a byte budget — except
+**pinned** entries (``*.pin`` sidecars, e.g. golden-parity baselines),
+which are never evicted.
 """
 
 from __future__ import annotations
 
-import json
-import logging
 import os
-import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from ..errors import CheckpointError
-from ..ioutil import atomic_write_json, io_backend
-from ..obs import get_logger, log_event
+from ..runner.store import (
+    EntryKey,
+    parse_entry_name,
+    quarantine,
+    read_entry,
+    workload_fingerprint,
+    write_entry,
+)
 from ..sim.config import SimConfig
 from ..sim.metrics import RunResult
-from ..sim.serialization import (
-    RESULT_FORMAT_VERSION,
-    config_to_dict,
-    result_from_dict,
-    result_to_dict,
-)
-
-#: Schema version of the cache entry envelope.
-CACHE_FORMAT_VERSION = 1
-
-#: Fingerprint prefix length used in entry file names.  The full digest is
-#: stored (and verified) inside the entry, so the prefix only needs to be
-#: collision-resistant *per directory*; 24 hex chars = 96 bits.
-FP_PREFIX = 24
-
-#: Workload-fingerprint prefix length in entry file names (64 bits — the
-#: full digest is verified from the payload on read).
-WLFP_PREFIX = 16
-
-_UNSAFE = re.compile(r"[^A-Za-z0-9._+-]+")
-_HEX = re.compile(r"[0-9a-f]+\Z")
-
-logger = get_logger("cache")
-
-
-def _safe(name: str) -> str:
-    return _UNSAFE.sub("_", name) or "unnamed"
-
-
-def config_fingerprint(config: SimConfig) -> str:
-    """Re-export of the runner's memoized fingerprint (one keying scheme)."""
-    from ..runner.store import config_fingerprint as _fp
-
-    return _fp(config)
-
-
-def workload_fingerprint(workload: str) -> str:
-    """Re-export of the registry's workload fingerprint (one keying scheme)."""
-    from ..plugins.workloads import workload_fingerprint as _wfp
-
-    return _wfp(workload)
 
 
 @dataclass
@@ -105,28 +48,10 @@ class CacheStats:
     """Monotonic counters for one :class:`ResultCache` instance."""
 
     exact_hits: int = 0
-    near_hits: int = 0
     misses: int = 0
     puts: int = 0               #: entries actually written (re-puts skipped)
     evictions: int = 0
     corrupt_quarantined: int = 0
-
-
-@dataclass(frozen=True)
-class CacheHit:
-    """One cache answer: the result plus how it was derived.
-
-    ``provenance`` is ``{"cache_hit": True, "key": [...]}`` for exact hits;
-    near hits carry ``{"near_hit": True, "source_key": [...],
-    "requested_n_instrs": N, "mode": "lower_n" | "neighbor_param", ...}``.
-    """
-
-    result: RunResult
-    provenance: dict = field(default_factory=dict)
-
-    @property
-    def near(self) -> bool:
-        return bool(self.provenance.get("near_hit"))
 
 
 @dataclass
@@ -142,52 +67,6 @@ class _Entry:
     pinned: bool
 
 
-def _flatten(value, prefix: tuple = (), out: dict | None = None) -> dict:
-    """Flatten a canonical config dict into ``{leaf-path: scalar}``."""
-    if out is None:
-        out = {}
-    if isinstance(value, dict):
-        for key, sub in value.items():
-            _flatten(sub, prefix + (str(key),), out)
-    elif isinstance(value, (list, tuple)):
-        for i, sub in enumerate(value):
-            _flatten(sub, prefix + (str(i),), out)
-    else:
-        out[prefix] = value
-    return out
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def neighbor_param(config_a: dict, config_b: dict) -> tuple[str, object, object] | None:
-    """The single swept parameter separating two canonical config dicts.
-
-    Returns ``(dotted_path, value_a, value_b)`` when the configs differ in
-    exactly one leaf, that leaf is numeric in both, and it is not ``name``
-    — i.e. ``b`` is a neighboring point of a one-parameter sweep around
-    ``a``.  Anything else (zero diffs, multiple diffs, a structural or
-    non-numeric difference, a rename) returns ``None``: renamed machines
-    and reshaped hierarchies are never "near" each other.
-    """
-    flat_a = _flatten(config_a)
-    flat_b = _flatten(config_b)
-    missing = object()
-    diffs = [
-        key
-        for key in set(flat_a) | set(flat_b)
-        if flat_a.get(key, missing) != flat_b.get(key, missing)
-    ]
-    if len(diffs) != 1:
-        return None
-    (key,) = diffs
-    a, b = flat_a.get(key, missing), flat_b.get(key, missing)
-    if key == ("name",) or not (_is_number(a) and _is_number(b)):
-        return None
-    return ".".join(key), a, b
-
-
 class ResultCache:
     """Size-bounded, content-addressed result cache over a directory.
 
@@ -195,137 +74,43 @@ class ResultCache:
         cache_dir: the shared entry directory (created if missing).  Unlike
             a checkpoint dir this is meant to be long-lived and shared
             across campaigns/daemons.
-        near: default near-hit policy for :meth:`lookup` — ``False`` means
-            exact hits only (the safe default; ``--cache-near`` opts in).
         max_bytes: optional byte budget; exceeding it after a put triggers
             an automatic LRU :meth:`gc`.
     """
 
     def __init__(
-        self,
-        cache_dir: str | Path,
-        *,
-        near: bool = False,
-        max_bytes: int | None = None,
+        self, cache_dir: str | Path, *, max_bytes: int | None = None
     ) -> None:
         self.cache_dir = Path(cache_dir)
-        self.near = near
         self.max_bytes = max_bytes
         self.stats = CacheStats()
         self.cache_dir.mkdir(parents=True, exist_ok=True)
 
-    # ------------------------------------------------------------- keying
-
-    def _path(self, fingerprint: str, workload: str, n_instrs: int) -> Path:
-        """Entry path: ``<config fp>--<workload fp>--<safe name>--<n>``.
-
-        The workload *fingerprint* is the identity; the sanitised display
-        name rides along purely for humans (``ls`` output, debugging), so
-        two workloads whose names sanitise identically still get distinct
-        stems.
-        """
-        wfp = workload_fingerprint(workload)[:WLFP_PREFIX]
-        stem = f"{fingerprint[:FP_PREFIX]}--{wfp}--{_safe(workload)}--{n_instrs}"
-        return self.cache_dir / f"{stem}.json"
-
-    def _legacy_path(self, fingerprint: str, workload: str, n_instrs: int) -> Path:
-        """The pre-workload-fingerprint stem (compat read path)."""
-        stem = f"{fingerprint[:FP_PREFIX]}--{_safe(workload)}--{n_instrs}"
-        return self.cache_dir / f"{stem}.json"
-
-    @staticmethod
-    def _parse_stem(stem: str) -> tuple[str, str, int] | None:
-        """Inverse of the ``_path`` stem: ``(fp_prefix, workload_display, n)``.
-
-        Handles both formats: the current one carries a fixed-length hex
-        workload-fingerprint segment after the config fingerprint; legacy
-        stems go straight to the sanitised name.  The config-fingerprint
-        prefix has a fixed length and ``n_instrs`` is the trailing integer,
-        so a workload whose *sanitized* name contains ``--`` still parses
-        unambiguously.
-        """
-        if len(stem) < FP_PREFIX + 2 or stem[FP_PREFIX:FP_PREFIX + 2] != "--":
-            return None
-        rest = stem[FP_PREFIX + 2:]
-        workload, sep, n_text = rest.rpartition("--")
-        if not sep or not n_text.isdigit():
-            return None
-        if (
-            len(workload) > WLFP_PREFIX + 2
-            and workload[WLFP_PREFIX:WLFP_PREFIX + 2] == "--"
-            and _HEX.match(workload[:WLFP_PREFIX])
-        ):
-            workload = workload[WLFP_PREFIX + 2:]
-        return stem[:FP_PREFIX], workload, int(n_text)
-
     # ------------------------------------------------------------- access
 
     def lookup(
-        self,
-        config: SimConfig,
-        workload: str,
-        n_instrs: int,
-        *,
-        near: bool | None = None,
-    ) -> CacheHit | None:
-        """Answer one request: exact hit, near hit (if allowed), or miss.
-
-        ``near=None`` defers to the instance policy; passing an explicit
-        ``False`` lets a consumer that shares a near-enabled cache (the
-        daemon's executors) stay exact-only.
-        """
-        fingerprint = config_fingerprint(config)
-        exact = self._load_exact(fingerprint, workload, n_instrs)
-        if exact is not None:
-            result, path = exact
-            self.stats.exact_hits += 1
-            self._touch(path)
-            return CacheHit(
-                result=result,
-                provenance={
-                    "cache_hit": True,
-                    "key": [fingerprint, workload, n_instrs],
-                },
-            )
-        allow_near = self.near if near is None else near
-        if allow_near:
-            hit = self._near_lookup(config, fingerprint, workload, n_instrs)
-            if hit is not None:
-                self.stats.near_hits += 1
-                return hit
-        self.stats.misses += 1
-        return None
-
-    def get_by_key(
-        self, fingerprint: str, workload: str, n_instrs: int
+        self, config: SimConfig, workload: str, n_instrs: int
     ) -> RunResult | None:
-        """Fetch a stored result by raw key (no near logic, no counters).
+        """The stored result for this exact key, or ``None`` (a miss).
 
-        This is the read-back path for a result that was *already served*
-        — e.g. the daemon resolving a near-completed job's ``source_key``
-        — so it deliberately does not touch the hit/miss accounting.
+        A corrupt entry is quarantined and counts as a miss.
         """
-        exact = self._load_exact(fingerprint, workload, n_instrs)
-        return exact[0] if exact is not None else None
-
-    def _load_exact(
-        self, fingerprint: str, workload: str, n_instrs: int
-    ) -> tuple[RunResult, Path] | None:
-        """Load an exact key, falling back to the legacy name-keyed stem."""
-        path = self._path(fingerprint, workload, n_instrs)
-        result = self._load(
-            path, fingerprint=fingerprint, workload=workload, n_instrs=n_instrs,
-        )
-        if result is not None:
-            return result, path
-        legacy = self._legacy_path(fingerprint, workload, n_instrs)
-        result = self._load(
-            legacy, fingerprint=fingerprint, workload=workload,
-            n_instrs=n_instrs,
-        )
-        if result is not None:
-            return result, legacy
-        return None
+        key = EntryKey.of(config, workload, n_instrs)
+        path = self.cache_dir / key.filename
+        try:
+            result = read_entry(path, key)["result"]
+        except FileNotFoundError:
+            result = None
+        except CheckpointError as exc:
+            self.stats.corrupt_quarantined += 1
+            quarantine(path, exc)
+            result = None
+        if result is None:
+            self.stats.misses += 1
+            return None
+        self.stats.exact_hits += 1
+        self._touch(path)
+        return result
 
     def put(
         self,
@@ -340,224 +125,18 @@ class ResultCache:
 
         Content-addressed: if the entry already exists the write is skipped
         (first write wins, which keeps exact hits byte-stable forever).
-        Never call this with a near-hit estimate — the cache must only ever
-        contain real measurements.
         """
-        fingerprint = config_fingerprint(config)
-        path = self._path(fingerprint, workload, n_instrs)
+        key = EntryKey.of(config, workload, n_instrs)
+        path = self.cache_dir / key.filename
         if pin:
             self._pin_path(path).touch()
         if path.exists():
             return False
-        payload = {
-            "cache_version": CACHE_FORMAT_VERSION,
-            "fingerprint": fingerprint,
-            "workload_fingerprint": workload_fingerprint(workload),
-            "config": config_to_dict(config),
-            "workload": workload,
-            "n_instrs": n_instrs,
-            "result": result_to_dict(result),
-        }
-        atomic_write_json(path, payload)
+        write_entry(self.cache_dir, key, config, result)
         self.stats.puts += 1
         if self.max_bytes is not None and self.bytes() > self.max_bytes:
             self.gc()
         return True
-
-    # ----------------------------------------------------------- near hits
-
-    def _near_lookup(
-        self, config: SimConfig, fingerprint: str, workload: str, n_instrs: int
-    ) -> CacheHit | None:
-        """Same point at a lower length, else a one-knob neighbor config."""
-        lower = self._best_lower_n(fingerprint, workload, n_instrs)
-        if lower is not None:
-            source_n, result = lower
-            return self._near_hit(result, {
-                "near_hit": True,
-                "mode": "lower_n",
-                "source_key": [fingerprint, workload, source_n],
-                "requested_n_instrs": n_instrs,
-                "source_n_instrs": source_n,
-            })
-        neighbor = self._best_neighbor(config, fingerprint, workload, n_instrs)
-        if neighbor is not None:
-            source_fp, param, source_value, requested_value, result = neighbor
-            return self._near_hit(result, {
-                "near_hit": True,
-                "mode": "neighbor_param",
-                "source_key": [source_fp, workload, n_instrs],
-                "requested_n_instrs": n_instrs,
-                "requested_fingerprint": fingerprint,
-                "param": param,
-                "source_value": source_value,
-                "requested_value": requested_value,
-            })
-        return None
-
-    @staticmethod
-    def _near_hit(result: RunResult, provenance: dict) -> CacheHit:
-        """Stamp near provenance into a *copy* of the stored result.
-
-        The estimate's own payload carries the flags, so downstream
-        serialization (figures, ``--json``, checkpoints a consumer
-        mistakenly writes) can always be told apart from exact data.
-        """
-        import dataclasses
-
-        telemetry = dict(result.telemetry or {})
-        telemetry["cache"] = dict(provenance)
-        stamped = dataclasses.replace(result, telemetry=telemetry)
-        return CacheHit(result=stamped, provenance=provenance)
-
-    def _best_lower_n(
-        self, fingerprint: str, workload: str, n_instrs: int
-    ) -> tuple[int, RunResult] | None:
-        """The longest stored run of this exact point below ``n_instrs``.
-
-        Only fingerprint-keyed (current-format) entries participate:
-        the workload-fingerprint segment in the glob excludes legacy
-        name-keyed stems from near matching by construction.
-        """
-        wfp = workload_fingerprint(workload)[:WLFP_PREFIX]
-        pattern = f"{fingerprint[:FP_PREFIX]}--{wfp}--{_safe(workload)}--*.json"
-        candidates = []
-        for path in self.cache_dir.glob(pattern):
-            parsed = self._parse_stem(path.stem)
-            if parsed is None:
-                continue
-            _, _, entry_n = parsed
-            if entry_n < n_instrs:
-                candidates.append((entry_n, path))
-        for entry_n, path in sorted(candidates, reverse=True):
-            result = self._load(
-                path, fingerprint=fingerprint, workload=workload,
-                n_instrs=entry_n,
-            )
-            if result is not None:
-                return entry_n, result
-        return None
-
-    def _best_neighbor(
-        self, config: SimConfig, fingerprint: str, workload: str, n_instrs: int
-    ) -> tuple[str, str, object, object, RunResult] | None:
-        """A stored run at the same ``(workload, n)`` one numeric knob away.
-
-        The workload-fingerprint segment is shared across configs (same
-        workload → same fingerprint), so it anchors the glob and keeps
-        legacy name-keyed entries out of near matching.
-        """
-        requested = config_to_dict(config)
-        wfp = workload_fingerprint(workload)[:WLFP_PREFIX]
-        pattern = f"*--{wfp}--{_safe(workload)}--{n_instrs}.json"
-        best = None
-        for path in sorted(self.cache_dir.glob(pattern)):
-            parsed = self._parse_stem(path.stem)
-            if parsed is None or parsed[0] == fingerprint[:FP_PREFIX]:
-                continue
-            entry = self._load_entry(path)
-            if entry is None:
-                continue
-            if entry["workload"] != workload or entry["n_instrs"] != n_instrs:
-                continue  # sanitized-name collision: a different real point
-            diff = neighbor_param(requested, entry["config"])
-            if diff is None:
-                continue
-            param, requested_value, source_value = diff
-            distance = abs(source_value - requested_value)
-            if best is None or distance < best[0]:
-                best = (distance, entry["fingerprint"], param,
-                        source_value, requested_value, entry["result"])
-        if best is None:
-            return None
-        _, source_fp, param, source_value, requested_value, result = best
-        return source_fp, param, source_value, requested_value, result
-
-    # ----------------------------------------------------------- entry I/O
-
-    def _load(
-        self, path: Path, *, fingerprint: str, workload: str, n_instrs: int
-    ) -> RunResult | None:
-        """Read + validate one entry; corrupt files are quarantined."""
-        entry = self._load_entry(path)
-        if entry is None:
-            return None
-        if (
-            entry["fingerprint"] != fingerprint
-            or entry["workload"] != workload
-            or entry["n_instrs"] != n_instrs
-        ):
-            # A truncated-prefix or sanitized-name collision: the file is
-            # healthy, it just answers a different key.
-            return None
-        if entry.get("workload_fingerprint") not in (
-            None, workload_fingerprint(workload)
-        ):
-            # Same display name, different content (e.g. a re-registered
-            # out-of-tree workload): never alias it to this key.
-            return None
-        return entry["result"]
-
-    def _load_entry(self, path: Path) -> dict | None:
-        """Parse one entry file into plain fields (``None`` if absent/bad)."""
-        if not path.exists():
-            return None
-        try:
-            return self._read_entry(path)
-        except CheckpointError as exc:
-            self.stats.corrupt_quarantined += 1
-            moved_to = self._quarantine(path)
-            log_event(
-                logger, logging.WARNING, "quarantined corrupt cache entry",
-                path=str(path), error=str(exc),
-                moved_to=str(moved_to) if moved_to else None,
-            )
-            return None
-
-    @staticmethod
-    def _read_entry(path: Path) -> dict:
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"unreadable cache entry {path}: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise CheckpointError(f"cache entry {path} is not an object")
-        if payload.get("cache_version") != CACHE_FORMAT_VERSION:
-            raise CheckpointError(
-                f"cache entry {path} has version "
-                f"{payload.get('cache_version')!r}, expected "
-                f"{CACHE_FORMAT_VERSION}"
-            )
-        for field_name in ("fingerprint", "workload", "n_instrs", "config"):
-            if field_name not in payload:
-                raise CheckpointError(f"cache entry {path} lacks {field_name!r}")
-        result_payload = payload.get("result")
-        if (
-            not isinstance(result_payload, dict)
-            or result_payload.get("format_version") != RESULT_FORMAT_VERSION
-        ):
-            raise CheckpointError(f"cache entry {path} has a bad result payload")
-        try:
-            payload["result"] = result_from_dict(result_payload)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"cache entry {path} failed to deserialize: {exc}"
-            ) from exc
-        return payload
-
-    def _quarantine(self, path: Path) -> Path | None:
-        """Rename a corrupt entry to ``*.corrupt`` (numbered on collision),
-        exactly like the checkpoint store's quarantine."""
-        target = path.with_suffix(path.suffix + ".corrupt")
-        serial = 0
-        while target.exists():
-            serial += 1
-            target = path.with_suffix(f"{path.suffix}.corrupt.{serial}")
-        try:
-            io_backend().replace(path, target)
-        except OSError:
-            return None
-        return target
 
     @staticmethod
     def _touch(path: Path) -> None:
@@ -573,24 +152,24 @@ class ResultCache:
     def _pin_path(path: Path) -> Path:
         return path.with_suffix(path.suffix + ".pin")
 
+    def _entry_path(self, fingerprint: str, workload: str, n_instrs: int) -> Path:
+        key = EntryKey(
+            fingerprint, workload_fingerprint(workload), workload, n_instrs
+        )
+        return self.cache_dir / key.filename
+
     def pin(self, fingerprint: str, workload: str, n_instrs: int) -> bool:
         """Protect one entry from eviction (golden baselines and the like)."""
-        path = self._path(fingerprint, workload, n_instrs)
+        path = self._entry_path(fingerprint, workload, n_instrs)
         if not path.exists():
-            path = self._legacy_path(fingerprint, workload, n_instrs)
-            if not path.exists():
-                return False
+            return False
         self._pin_path(path).touch()
         return True
 
     def unpin(self, fingerprint: str, workload: str, n_instrs: int) -> bool:
-        pin = self._pin_path(self._path(fingerprint, workload, n_instrs))
+        pin = self._pin_path(self._entry_path(fingerprint, workload, n_instrs))
         if not pin.exists():
-            pin = self._pin_path(
-                self._legacy_path(fingerprint, workload, n_instrs)
-            )
-            if not pin.exists():
-                return False
+            return False
         pin.unlink()
         return True
 
@@ -600,19 +179,18 @@ class ResultCache:
         """Metadata rows for every parseable entry (oldest first)."""
         rows = []
         for path in self.cache_dir.glob("*.json"):
-            parsed = self._parse_stem(path.stem)
+            parsed = parse_entry_name(path.name)
             if parsed is None:
                 continue
-            fp_prefix, workload, n_instrs = parsed
             try:
                 stat = path.stat()
             except OSError:
                 continue
             rows.append(_Entry(
                 path=path,
-                fingerprint_prefix=fp_prefix,
-                workload=workload,
-                n_instrs=n_instrs,
+                fingerprint_prefix=parsed.fingerprint,
+                workload=parsed.workload,
+                n_instrs=parsed.n_instrs,
                 bytes=stat.st_size,
                 mtime=stat.st_mtime,
                 pinned=self._pin_path(path).exists(),
@@ -678,6 +256,5 @@ class ResultCache:
             entries=len(rows),
             bytes=sum(row.bytes for row in rows),
             pinned=sum(1 for row in rows if row.pinned),
-            near_enabled=self.near,
             max_bytes=self.max_bytes,
         )

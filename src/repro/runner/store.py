@@ -1,4 +1,4 @@
-"""Disk-backed result store: the runner's checkpoint/resume substrate.
+"""Disk-backed result store and the one on-disk result entry format.
 
 Results are keyed by ``(config fingerprint, workload fingerprint,
 n_instrs)``.  The config fingerprint is a SHA-256 over the *canonical
@@ -7,23 +7,26 @@ the workload fingerprint (:func:`repro.plugins.workloads
 .workload_fingerprint`) hashes what the workload *is* — kernel + parameters
 for synthetic specs, trace-file content for ingested traces, the member
 tuple for a mix — so a re-registered or out-of-tree workload under a reused
-name can never alias another workload's checkpoint.  Names are display-only:
+name can never alias another workload's result.  Names are display-only:
 they appear in file stems for humans, never as identity.
 
-Compatibility: checkpoints written before workload fingerprints existed used
-a name-keyed stem; :meth:`ResultStore.get` falls back to that legacy stem
-(validating the payload's workload name) so old checkpoint dirs keep
-resuming.
+This module owns the entry format that both persistent tiers — campaign
+checkpoints (:class:`ResultStore`) and the cross-campaign result cache
+(:class:`repro.cache.ResultCache`) — and the offline checker
+(:mod:`repro.service.fsck`) share:
 
-Layout: one JSON file per completed run under ``checkpoint_dir``, written
-durably and atomically (:func:`repro.ioutil.atomic_write_json`: fsync'd
-temp file + ``os.replace`` + directory fsync) so a crash at any instant —
-including right after the rename — never leaves a half checkpoint that a
-later ``--resume`` would trip over.  Unreadable or
-wrong-schema files found while resuming are *quarantined* (renamed to
-``*.corrupt`` with a WARNING) and counted, never fatal — a corrupt
-checkpoint costs one re-simulation, not the campaign, and subsequent
-resumes don't re-parse the same broken file.
+* **Stem** — ``<config fp 24>--<workload fp 16>--<safe name>--<n>.json``
+  (:attr:`EntryKey.filename`, parsed back by :func:`parse_entry_name`).
+* **Envelope** — ``{checkpoint_version, fingerprint, workload_fingerprint,
+  config, workload, n_instrs, result}``, written durably and atomically by
+  :func:`write_entry` (:func:`repro.ioutil.atomic_write_json`: fsync'd temp
+  file + ``os.replace`` + directory fsync), so a crash at any instant never
+  leaves a half entry behind.
+* **Reader** — :func:`read_entry` validates schema, result payload and key;
+  anything malformed raises :class:`~repro.errors.CheckpointError`.
+* **Quarantine** — :func:`quarantine` renames a corrupt entry to
+  ``*.corrupt`` (numbered on collision), so a corrupt file costs one
+  re-simulation, never the campaign, and is never re-parsed.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import logging
 import re
 import weakref
 from pathlib import Path
+from typing import NamedTuple
 
 from ..errors import CheckpointError
 from ..ioutil import atomic_write_json, io_backend
@@ -47,10 +51,17 @@ from ..sim.serialization import (
     result_to_dict,
 )
 
-#: Schema version of the checkpoint envelope (the file around the result).
+#: Schema version of the entry envelope (the file around the result).
 CHECKPOINT_FORMAT_VERSION = 1
 
+#: Fingerprint prefix lengths in entry file names.  The full digests are
+#: stored (and verified) inside the entry, so the prefixes only need to be
+#: collision-resistant per directory: 96 bits of config, 64 of workload.
+FP_PREFIX = 24
+WLFP_PREFIX = 16
+
 _UNSAFE = re.compile(r"[^A-Za-z0-9._+-]+")
+_HEX = re.compile(r"[0-9a-f]+\Z")
 
 logger = get_logger("runner.store")
 
@@ -75,15 +86,162 @@ def config_fingerprint(config: SimConfig) -> str:
     return fp
 
 
-def _safe(name: str) -> str:
-    return _UNSAFE.sub("_", name) or "unnamed"
-
-
 def workload_fingerprint(workload: str) -> str:
     """Content digest of a workload reference (one keying scheme repo-wide)."""
     from ..plugins.workloads import workload_fingerprint as _wfp
 
     return _wfp(workload)
+
+
+# ------------------------------------------------------------ entry format
+
+
+class EntryKey(NamedTuple):
+    """One result's identity, plus the display name its stem carries.
+
+    Two names that sanitise to the same stem and resolve to the same
+    workload fingerprint are aliases: they share one entry.
+    """
+
+    fingerprint: str
+    workload_fingerprint: str
+    workload: str
+    n_instrs: int
+
+    @classmethod
+    def of(cls, config: SimConfig, workload: str, n_instrs: int) -> "EntryKey":
+        return cls(
+            config_fingerprint(config), workload_fingerprint(workload),
+            workload, n_instrs,
+        )
+
+    @property
+    def identity(self) -> tuple[str, str, int]:
+        return self.fingerprint, self.workload_fingerprint, self.n_instrs
+
+    @property
+    def filename(self) -> str:
+        """``<config fp 24>--<workload fp 16>--<safe name>--<n>.json``."""
+        safe = _UNSAFE.sub("_", self.workload) or "unnamed"
+        return (
+            f"{self.fingerprint[:FP_PREFIX]}--"
+            f"{self.workload_fingerprint[:WLFP_PREFIX]}--{safe}--"
+            f"{self.n_instrs}.json"
+        )
+
+
+def parse_entry_name(name: str) -> EntryKey | None:
+    """Inverse of :attr:`EntryKey.filename`, with prefixes for fingerprints.
+
+    Returns ``None`` for anything that is not an entry (a fleet
+    ``manifest.json``, ``*.tmp``/``*.corrupt``/``*.pin`` siblings).  Both
+    fingerprint segments are fixed-length hex and ``n_instrs`` is the
+    trailing integer, so a sanitised name containing ``--`` still parses.
+    """
+    if not name.endswith(".json"):
+        return None
+    stem = name[:-len(".json")]
+    head = FP_PREFIX + 2 + WLFP_PREFIX + 2
+    fp, wfp = stem[:FP_PREFIX], stem[FP_PREFIX + 2:head - 2]
+    if (
+        len(stem) <= head
+        or stem[FP_PREFIX:FP_PREFIX + 2] != "--"
+        or stem[head - 2:head] != "--"
+        or not _HEX.match(fp)
+        or not _HEX.match(wfp)
+    ):
+        return None
+    workload, sep, n_text = stem[head:].rpartition("--")
+    if not sep or not workload or not n_text.isdigit():
+        return None
+    return EntryKey(fp, wfp, workload, int(n_text))
+
+
+def write_entry(
+    directory: Path, key: EntryKey, config: SimConfig, result: RunResult
+) -> Path:
+    """Durably write one result under ``key``; returns the entry path."""
+    path = directory / key.filename
+    atomic_write_json(path, {
+        "checkpoint_version": CHECKPOINT_FORMAT_VERSION,
+        "fingerprint": key.fingerprint,
+        "workload_fingerprint": key.workload_fingerprint,
+        "config": config_to_dict(config),
+        "workload": key.workload,
+        "n_instrs": key.n_instrs,
+        "result": result_to_dict(result),
+    })
+    return path
+
+
+def read_entry(path: Path, key: EntryKey | None = None) -> dict:
+    """Parse and validate one entry; ``payload["result"]`` is a RunResult.
+
+    With ``key``, the entry must also answer that key's identity.  A missing
+    file raises :class:`FileNotFoundError` (a miss, not corruption); every
+    other defect raises :class:`CheckpointError`.
+    """
+    try:
+        payload = json.loads(path.read_text())
+    except FileNotFoundError:
+        raise
+    except (OSError, ValueError) as exc:
+        raise CheckpointError(f"unreadable entry {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise CheckpointError(f"entry {path} is not an object")
+    if payload.get("checkpoint_version") != CHECKPOINT_FORMAT_VERSION:
+        raise CheckpointError(
+            f"entry {path} has version {payload.get('checkpoint_version')!r}, "
+            f"expected {CHECKPOINT_FORMAT_VERSION}"
+        )
+    try:
+        stored = EntryKey(
+            payload["fingerprint"], payload["workload_fingerprint"],
+            payload["workload"], payload["n_instrs"],
+        )
+    except KeyError as exc:
+        raise CheckpointError(f"entry {path} lacks {exc}") from exc
+    if key is not None and stored.identity != key.identity:
+        raise CheckpointError(f"entry {path} answers another key (renamed?)")
+    result_payload = payload.get("result")
+    if (
+        not isinstance(result_payload, dict)
+        or result_payload.get("format_version") != RESULT_FORMAT_VERSION
+    ):
+        raise CheckpointError(f"entry {path} has a bad result payload")
+    try:
+        payload["result"] = result_from_dict(result_payload)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"entry {path} failed to deserialize: {exc}"
+        ) from exc
+    return payload
+
+
+def quarantine(path: Path, error: object) -> Path | None:
+    """Move a corrupt entry aside to ``<name>.corrupt`` (numbered on collision).
+
+    Returns the new path, or ``None`` when the rename itself failed (the
+    caller then degrades to skip-and-count).  Logged at WARNING.
+    """
+    target = path.with_suffix(path.suffix + ".corrupt")
+    serial = 0
+    while target.exists():
+        serial += 1
+        target = path.with_suffix(f"{path.suffix}.corrupt.{serial}")
+    try:
+        io_backend().replace(path, target)
+    except OSError:
+        target = None
+    log_event(
+        logger, logging.WARNING, "quarantined corrupt entry",
+        path=str(path), error=str(error),
+        moved_to=str(target) if target else None,
+    )
+    return target
+
+
+# ------------------------------------------------------------ the store
 
 
 class ResultStore:
@@ -114,31 +272,9 @@ class ResultStore:
         if self.checkpoint_dir is not None:
             self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
 
-    # ------------------------------------------------------------- keying
-
     def fingerprint(self, config: SimConfig) -> str:
         """The (process-wide memoized) :func:`config_fingerprint`."""
         return config_fingerprint(config)
-
-    def _key(self, config: SimConfig, workload: str, n_instrs: int):
-        return (self.fingerprint(config), workload_fingerprint(workload), n_instrs)
-
-    def _path(self, config: SimConfig, workload: str, n_instrs: int) -> Path:
-        assert self.checkpoint_dir is not None
-        fp = self.fingerprint(config)
-        wfp = workload_fingerprint(workload)
-        stem = (
-            f"{_safe(config.name)}--{_safe(workload)}--{n_instrs}"
-            f"--{fp[:12]}--{wfp[:12]}"
-        )
-        return self.checkpoint_dir / f"{stem}.json"
-
-    def _legacy_path(self, config: SimConfig, workload: str, n_instrs: int) -> Path:
-        """The pre-workload-fingerprint stem (compat read path)."""
-        assert self.checkpoint_dir is not None
-        fp = self.fingerprint(config)
-        stem = f"{_safe(config.name)}--{_safe(workload)}--{n_instrs}--{fp[:12]}"
-        return self.checkpoint_dir / f"{stem}.json"
 
     # ------------------------------------------------------------- access
 
@@ -146,120 +282,38 @@ class ResultStore:
         self, config: SimConfig, workload: str, n_instrs: int
     ) -> RunResult | None:
         """Return a stored result, or ``None`` when the run must execute."""
-        key = self._key(config, workload, n_instrs)
-        hit = self._memory.get(key)
+        key = EntryKey.of(config, workload, n_instrs)
+        hit = self._memory.get(key.identity)
         if hit is not None:
             return hit
         if self.checkpoint_dir is None or not self.resume:
             return None
-        path = self._path(config, workload, n_instrs)
-        expected_workload: str | None = None
-        if not path.exists():
-            # Compat: checkpoints written before workload fingerprints used
-            # a name-keyed stem.  The payload's workload name is validated
-            # (the legacy stem's known sanitisation-collision hazard), and
-            # only files without a recorded workload fingerprint qualify —
-            # one recorded under a *different* fingerprint belongs to a
-            # different workload that merely shares the display name.
-            path = self._legacy_path(config, workload, n_instrs)
-            expected_workload = workload
-            if not path.exists():
-                return None
+        path = self.checkpoint_dir / key.filename
         try:
-            result = self._read_checkpoint(path, expected_fingerprint=key[0])
-            if expected_workload is not None:
-                payload = json.loads(path.read_text())
-                if payload.get("workload") != expected_workload or (
-                    payload.get("workload_fingerprint") not in (None, key[1])
-                ):
-                    return None
-        except (CheckpointError, OSError, json.JSONDecodeError) as exc:
-            self.corrupt_skipped += 1
-            moved_to = self._quarantine(path)
-            log_event(
-                logger, logging.WARNING, "quarantined corrupt checkpoint",
-                path=str(path), error=str(exc),
-                moved_to=str(moved_to) if moved_to else None,
-            )
+            result = read_entry(path, key)["result"]
+        except FileNotFoundError:
             return None
-        self._memory[key] = result
+        except CheckpointError as exc:
+            self.corrupt_skipped += 1
+            moved_to = quarantine(path, exc)
+            if moved_to is not None:
+                self.quarantined.append(moved_to)
+            return None
+        self._memory[key.identity] = result
         return result
 
     def put(
         self, config: SimConfig, workload: str, n_instrs: int, result: RunResult
     ) -> None:
         """Record one completed run (and checkpoint it if configured)."""
-        key = self._key(config, workload, n_instrs)
-        if self.checkpoint_dir is None:
-            self._memory[key] = result
-            return
-        payload = {
-            "checkpoint_version": CHECKPOINT_FORMAT_VERSION,
-            "fingerprint": key[0],
-            "workload_fingerprint": key[1],
-            "config": config_to_dict(config),
-            "workload": workload,
-            "n_instrs": n_instrs,
-            "result": result_to_dict(result),
-        }
-        # Durable atomic write: fsync'd temp + rename + directory fsync, so
-        # a crash right after the replace cannot leave a truncated
-        # checkpoint for a later --resume to quarantine.  The memory cache
-        # is populated only *after* the write lands: a checkpoint that hit
-        # ENOSPC/EIO must not leave a phantom cache entry that would let a
-        # retry skip the re-write and ack a result with no durable copy.
-        atomic_write_json(self._path(config, workload, n_instrs), payload)
-        self._memory[key] = result
-
-    def _quarantine(self, path: Path) -> Path | None:
-        """Move a corrupt checkpoint aside so no later resume re-parses it.
-
-        The file is renamed to ``<name>.corrupt`` (numbered on collision);
-        the re-simulated result is then checkpointed under the original
-        name.  A rename failure degrades to the old skip-and-count
-        behaviour rather than aborting the resume.
-        """
-        target = path.with_suffix(path.suffix + ".corrupt")
-        serial = 0
-        while target.exists():
-            serial += 1
-            target = path.with_suffix(f"{path.suffix}.corrupt.{serial}")
-        try:
-            io_backend().replace(path, target)
-        except OSError:
-            return None
-        self.quarantined.append(target)
-        return target
-
-    def _read_checkpoint(self, path: Path, expected_fingerprint: str) -> RunResult:
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise CheckpointError(f"checkpoint {path} is not an object")
-        if payload.get("checkpoint_version") != CHECKPOINT_FORMAT_VERSION:
-            raise CheckpointError(
-                f"checkpoint {path} has version "
-                f"{payload.get('checkpoint_version')!r}, expected "
-                f"{CHECKPOINT_FORMAT_VERSION}"
-            )
-        if payload.get("fingerprint") != expected_fingerprint:
-            raise CheckpointError(
-                f"checkpoint {path} fingerprint mismatch (stale file name?)"
-            )
-        result_payload = payload.get("result")
-        if (
-            not isinstance(result_payload, dict)
-            or result_payload.get("format_version") != RESULT_FORMAT_VERSION
-        ):
-            raise CheckpointError(f"checkpoint {path} has a bad result payload")
-        try:
-            return result_from_dict(result_payload)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"checkpoint {path} failed to deserialize: {exc}"
-            ) from exc
+        key = EntryKey.of(config, workload, n_instrs)
+        if self.checkpoint_dir is not None:
+            # The memory layer is populated only *after* the durable write
+            # lands: a checkpoint that hit ENOSPC/EIO must not leave a
+            # phantom entry that would let a retry skip the re-write and
+            # ack a result with no durable copy.
+            write_entry(self.checkpoint_dir, key, config, result)
+        self._memory[key.identity] = result
 
     # ------------------------------------------------------------- admin
 

@@ -8,15 +8,17 @@ dumps — against the service's invariants:
   readable, fingerprint-matching checkpoint (the payload a client was
   promised).
 * **No duplicate results** — at most one non-failed/cancelled job per
-  dedup key ``(fingerprint, workload, n_instrs)``.
+  dedup key ``(fingerprint, workload_fingerprint, n_instrs)``.
 * **No orphan leases** — a ``leased`` job in a journal nobody is serving
   belongs to a dead daemon (recoverable: startup replay reclaims it).
 * **Journal integrity** — every record decodes (CRC + length + JSON) and
   replays to a valid state transition; a torn *tail* is expected crash
   debris, anything else is corruption.
-* **Store hygiene** — checkpoint files parse, carry the right schema
-  version, and match the fingerprint their name claims; no stray
-  ``*.tmp`` residue from interrupted atomic writes.
+* **Store hygiene** — every file named like an entry
+  (:func:`repro.runner.store.parse_entry_name`; anything else, such as a
+  fleet ``manifest.json``, is not a checkpoint) parses, carries the right
+  schema version, and answers the key its name claims; no stray ``*.tmp``
+  residue from interrupted atomic writes.
 
 Check mode is strictly **read-only** (it uses
 :func:`repro.service.journal.scan_journal` and
@@ -45,7 +47,8 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..runner.store import ResultStore, _safe
+from ..errors import CheckpointError
+from ..runner.store import EntryKey, parse_entry_name, quarantine, read_entry
 from .journal import Journal, scan_journal
 from .queue import CANCELLED, DONE, FAILED, LEASED, PENDING, Job, replay_state
 
@@ -109,21 +112,23 @@ class FsckReport:
         }
 
 
-def _checkpoint_path(checkpoint_dir: Path, job: Job) -> Path:
-    """The store path a job's checkpoint must live at (mirrors
-    :meth:`ResultStore._path`, keyed from journal fields alone).
-
-    Jobs journaled with a workload fingerprint use the current
-    fingerprint-suffixed stem; legacy jobs (empty fingerprint field) use
-    the old name-keyed stem.
-    """
-    stem = (
-        f"{_safe(job.config_name)}--{_safe(job.workload)}"
-        f"--{job.n_instrs}--{job.fingerprint[:12]}"
+def _checkpoint_problem(
+    checkpoint_dir: Path, job: Job
+) -> tuple[Path, str | None]:
+    """A done job's checkpoint path and why it cannot serve the job
+    (``"missing"``, a validation error, or ``None`` when it can).  The
+    key comes from journal fields alone."""
+    key = EntryKey(
+        job.fingerprint, job.workload_fingerprint, job.workload, job.n_instrs
     )
-    if job.workload_fingerprint:
-        stem += f"--{job.workload_fingerprint[:12]}"
-    return checkpoint_dir / f"{stem}.json"
+    path = checkpoint_dir / key.filename
+    try:
+        read_entry(path, key)
+    except FileNotFoundError:
+        return path, "missing"
+    except CheckpointError as exc:
+        return path, str(exc)
+    return path, None
 
 
 def _daemon_pid(state_dir: Path) -> int | None:
@@ -236,19 +241,13 @@ def check_state_dir(state_dir: str | Path) -> FsckReport:
             )
 
     # --- WAL <-> checkpoint store ----------------------------------------
-    store = ResultStore(checkpoint_dir, resume=True)
     done_checked = 0
     for job in jobs.values():
         if job.state != DONE:
             continue
         done_checked += 1
-        if job.cached and (job.cache_provenance or {}).get("near_hit"):
-            # Near-cached jobs have no checkpoint of their own: the
-            # payload is served from the result cache's *source* entry
-            # (the provenance names it), never from this job's store key.
-            continue
-        path = _checkpoint_path(checkpoint_dir, job)
-        if not path.exists():
+        path, problem = _checkpoint_problem(checkpoint_dir, job)
+        if problem == "missing":
             report.add(
                 "error", "done-no-checkpoint",
                 f"job {job.job_id} is journal-done but its checkpoint is "
@@ -257,13 +256,10 @@ def check_state_dir(state_dir: str | Path) -> FsckReport:
                 f"the identical payload)",
                 path,
             )
-            continue
-        try:
-            store._read_checkpoint(path, expected_fingerprint=job.fingerprint)
-        except Exception as exc:
+        elif problem is not None:
             report.add(
                 "error", "done-corrupt-checkpoint",
-                f"job {job.job_id}'s checkpoint fails validation: {exc}",
+                f"job {job.job_id}'s checkpoint fails validation: {problem}",
                 path,
             )
     report.checked["done_jobs"] = done_checked
@@ -280,27 +276,27 @@ def check_state_dir(state_dir: str | Path) -> FsckReport:
                     path,
                 )
                 continue
-            if ".corrupt" in path.suffixes or ".corrupt" in path.name:
-                continue  # already quarantined by a previous run/resume
-            if path.suffix != ".json":
-                continue
+            if parse_entry_name(path.name) is None:
+                continue  # not an entry: *.corrupt, manifest.json, ...
             swept += 1
             try:
-                payload = json.loads(path.read_text())
-                fp = payload["fingerprint"]
-                store._read_checkpoint(path, expected_fingerprint=fp)
-            except Exception as exc:
+                payload = read_entry(path)
+            except (OSError, CheckpointError) as exc:
                 report.add(
                     "error", "checkpoint-corrupt",
                     f"checkpoint fails validation: {exc}",
                     path,
                 )
                 continue
-            if fp[:12] not in path.name:
+            stored = EntryKey(
+                payload["fingerprint"], payload["workload_fingerprint"],
+                payload["workload"], payload["n_instrs"],
+            )
+            if stored.filename != path.name:
                 report.add(
                     "warning", "checkpoint-misnamed",
-                    f"file name does not carry its own fingerprint "
-                    f"{fp[:12]} (renamed by hand?)",
+                    f"file name does not match its own key "
+                    f"({stored.filename}; renamed by hand?)",
                     path,
                 )
     report.checked["checkpoints"] = swept
@@ -373,7 +369,6 @@ def repair_state_dir(state_dir: str | Path) -> FsckReport:
                 f"dropped {len(replay_errors)} journal record(s) that did "
                 f"not replay"
             )
-        store = ResultStore(checkpoint_dir, resume=True)
         for job in jobs.values():
             if job.state == LEASED:
                 job.state = PENDING
@@ -381,17 +376,7 @@ def repair_state_dir(state_dir: str | Path) -> FsckReport:
                 job.lease_expires_at = None
                 repairs.append(f"reclaimed orphan lease on {job.job_id}")
             elif job.state == DONE:
-                path = _checkpoint_path(checkpoint_dir, job)
-                valid = False
-                if path.exists():
-                    try:
-                        store._read_checkpoint(
-                            path, expected_fingerprint=job.fingerprint
-                        )
-                        valid = True
-                    except Exception:
-                        valid = False
-                if not valid:
+                if _checkpoint_problem(checkpoint_dir, job)[1] is not None:
                     job.state = PENDING
                     job.summary = None
                     job.finished_at = None
@@ -419,23 +404,19 @@ def repair_state_dir(state_dir: str | Path) -> FsckReport:
 
     # 2. Store: quarantine corrupt checkpoints, delete tmp residue.
     if checkpoint_dir.is_dir():
-        store = ResultStore(checkpoint_dir, resume=True)
         for path in sorted(checkpoint_dir.iterdir()):
             if path.name.endswith(".tmp"):
                 path.unlink(missing_ok=True)
                 repairs.append(f"deleted tmp residue {path.name}")
                 continue
-            if ".corrupt" in path.name or path.suffix != ".json":
+            if parse_entry_name(path.name) is None:
                 continue
             try:
-                payload = json.loads(path.read_text())
-                store._read_checkpoint(
-                    path, expected_fingerprint=payload["fingerprint"]
-                )
-            except Exception:
-                target = _quarantine_name(path)
-                os.replace(path, target)
-                repairs.append(f"quarantined {path.name} -> {target.name}")
+                read_entry(path)
+            except (OSError, CheckpointError) as exc:
+                target = quarantine(path, exc)
+                if target is not None:
+                    repairs.append(f"quarantined {path.name} -> {target.name}")
 
     # 3. Flight dumps: quarantine unparsable ones.
     for path in sorted(state_dir.glob("flightrec-*.jsonl")):
@@ -445,23 +426,14 @@ def repair_state_dir(state_dir: str | Path) -> FsckReport:
             for line in path.read_text().splitlines():
                 if line.strip():
                     json.loads(line)
-        except (OSError, json.JSONDecodeError):
-            target = _quarantine_name(path)
-            os.replace(path, target)
-            repairs.append(f"quarantined {path.name} -> {target.name}")
+        except (OSError, json.JSONDecodeError) as exc:
+            target = quarantine(path, exc)
+            if target is not None:
+                repairs.append(f"quarantined {path.name} -> {target.name}")
 
     report = check_state_dir(state_dir)
     report.repairs = repairs
     return report
-
-
-def _quarantine_name(path: Path) -> Path:
-    target = path.with_suffix(path.suffix + ".corrupt")
-    serial = 0
-    while target.exists():
-        serial += 1
-        target = path.with_suffix(f"{path.suffix}.corrupt.{serial}")
-    return target
 
 
 # ----------------------------------------------------------------------- CLI

@@ -107,6 +107,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-service/1"
     protocol_version = "HTTP/1.1"
+    #: Headers and body go out in two sends; without TCP_NODELAY a
+    #: keep-alive client's delayed ACK holds the body back ~40 ms.
+    disable_nagle_algorithm = True
     service: CampaignService  # injected by make_server's subclass
     request_id: str = ""
 

@@ -22,9 +22,10 @@ looping forever.
 Robustness behaviours layered on the state machine:
 
 * **Idempotent dedup** — submissions are keyed by
-  ``(config_fingerprint, workload, requested n_instrs)``; re-submitting an
-  active or completed job returns the existing one, so client retries and
-  replayed submissions never double-run or double-count a measurement.
+  ``(config_fingerprint, workload_fingerprint, requested n_instrs)``;
+  re-submitting an active or completed job returns the existing one, so
+  client retries and replayed submissions never double-run or double-count
+  a measurement.
   The key uses the length the caller *asked for*, not the one shedding
   clamped to — and a full-length submission never dedups against a
   degraded quick estimate, so clamped results can only ever be served to
@@ -94,10 +95,9 @@ class Job:
     workload: str
     n_instrs: int
     #: Content digest of the workload (see ``repro.plugins.workloads``):
-    #: the identity half of the dedup key.  Defaulted so journals written
-    #: before workload fingerprints existed still replay; such jobs fall
-    #: back to name-keyed dedup.
-    workload_fingerprint: str = ""
+    #: the identity half of the dedup key.  Required: a journal record
+    #: without one does not replay (it is skipped and reported).
+    workload_fingerprint: str
     priority: int = PRIORITIES["normal"]
     submitter: str = "anonymous"
     #: End-to-end correlation id: assigned at the API boundary (from the
@@ -117,8 +117,8 @@ class Job:
     inject_fault: str | None = None
     #: Result-cache provenance: a cached job completed straight from the
     #: content-addressed result cache (the ``done-cached`` journal outcome)
-    #: without ever holding a lease.  ``cache_provenance`` is the cache's
-    #: hit record (``cache_hit`` or ``near_hit`` + ``source_key``).
+    #: without ever holding a lease.  ``cache_provenance`` is the hit
+    #: record (``{"cache_hit": True, "key": [...]}``).
     cached: bool = False
     cache_provenance: dict | None = None
     attempts: int = 0
@@ -139,13 +139,10 @@ class Job:
         length never collides with it, and a later full-length submission
         of the same point finds it (and, per :meth:`JobQueue.submit`, runs
         fresh instead of accepting the estimate).
-
-        The workload half is the *fingerprint* (content identity) when the
-        job has one; legacy journal entries without it key by display name.
         """
         return (
             self.fingerprint,
-            self.workload_fingerprint or self.workload,
+            self.workload_fingerprint,
             self.requested_n_instrs or self.n_instrs,
         )
 
@@ -472,18 +469,24 @@ class JobQueue:
         n_instrs: int,
         *,
         fingerprint: str,
+        workload_fingerprint: str,
         config_name: str = "",
         priority: int | str = "normal",
         submitter: str = "anonymous",
         trace_id: str = "",
         inject_fault: str | None = None,
-        workload_fingerprint: str = "",
+        on_admit: Callable[[Job], object] | None = None,
     ) -> tuple[Job, bool]:
         """Admit one submission; returns ``(job, deduped)``.
 
         Raises :class:`QueueFull`, :class:`QuotaExceeded` or
         :class:`CircuitOpen` (all :class:`~repro.errors.AdmissionError`
         with a ``retry_after_s`` hint) instead of queuing unboundedly.
+
+        ``on_admit`` runs on a newly journaled job inside the same critical
+        section, before any lease can see it — the daemon completes
+        result-cache hits there (:meth:`complete_cached`), so a warm job
+        can never be leased and re-simulated.
         """
         if isinstance(priority, str):
             if priority not in PRIORITIES:
@@ -520,11 +523,7 @@ class JobQueue:
             # degraded and anything-against-full still dedup: those
             # responses carry honest provenance.
             existing_id = self._by_key.get(
-                (
-                    fingerprint,
-                    workload_fingerprint or workload,
-                    requested or n_instrs,
-                )
+                (fingerprint, workload_fingerprint, requested or n_instrs)
             )
             if existing_id is not None:
                 existing = self._jobs[existing_id]
@@ -583,6 +582,9 @@ class JobQueue:
                 inject_fault=inject_fault,
             )
             self._commit({"op": "submit", "job": job.to_dict()})
+            # Hand out the installed (journal-round-tripped) instance: it is
+            # the one later transitions mutate.
+            job = self._jobs[job.job_id]
             self.counters.submitted += 1
             if degraded:
                 self.counters.shed_degraded += 1
@@ -597,6 +599,8 @@ class JobQueue:
                 n=n_instrs, priority=rank, submitter=submitter,
                 degraded=degraded,
             )
+            if on_admit is not None:
+                on_admit(job)
             return job, False
 
     def _retry_after(self) -> float:
@@ -797,7 +801,7 @@ class JobQueue:
         """Complete a *pending* job straight from the result cache.
 
         No lease is involved: the daemon resolved the job against the
-        content-addressed cache at submit time, so the job goes
+        content-addressed cache at admission, so the job goes
         PENDING -> DONE via the distinct ``done-cached`` journal outcome,
         carrying the cache's provenance record.  The observed service time
         is *not* fed into the retry-after EMA — instant cache completions
@@ -817,12 +821,10 @@ class JobQueue:
             self.recorder.record(
                 "done_cached", job_id=job_id, trace_id=job.trace_id,
                 config=job.config_name, workload=job.workload,
-                near=bool((provenance or {}).get("near_hit")),
             )
             log_event(
                 logger, logging.INFO, "job completed from cache",
                 job=job_id, config=job.config_name, workload=job.workload,
-                near=bool((provenance or {}).get("near_hit")),
             )
             return job
 

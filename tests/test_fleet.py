@@ -85,6 +85,37 @@ class TestDeterminism:
         assert fleet.stats.executed == 1
 
 
+class TestResultTiers:
+    def test_store_hit_cache_hit_and_miss_in_one_batch(self, tmp_path):
+        """Only the miss reaches a worker; the cache hit is promoted into
+        the store, through the same recall path as the serial runner."""
+        from repro.cache import ResultCache
+
+        serial = ExperimentRunner()
+        stored = serial.run(CFG, "hmmer_like", N)
+        cached = serial.run(CFG, "mcf_like", N)
+        cache = ResultCache(tmp_path / "cache")
+        cache.put(CFG, "mcf_like", N, cached)
+        store = ResultStore(tmp_path / "ckpt", resume=True)
+        store.put(CFG, "hmmer_like", N, stored)
+
+        fleet = FleetRunner(store, jobs=1, cache=cache)
+        results = fleet.run_many([
+            (CFG, "hmmer_like", N), (CFG, "mcf_like", N), (CFG2, "mcf_like", N),
+        ])
+        assert fleet.fleet_stats.jobs_dispatched == 1
+        assert fleet.stats.store_hits == 1
+        assert fleet.stats.cache_hits == 1
+        assert fleet.stats.completed == 1
+        assert result_to_dict(results[1]) == result_to_dict(cached)
+        promoted = ResultStore(tmp_path / "ckpt", resume=True)
+        assert result_to_dict(promoted.get(CFG, "mcf_like", N)) == (
+            result_to_dict(cached)
+        )
+        # The store hit and the simulated miss both fed the cache.
+        assert cache.stats.puts == 1 + 2
+
+
 class TestContainment:
     def test_worker_crash_contained(self, tmp_path):
         fleet = FleetRunner(

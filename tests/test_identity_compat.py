@@ -1,10 +1,10 @@
-"""Fingerprint-keyed stores: MP results, collisions, and legacy compat.
+"""Fingerprint-keyed stores: MP results, collisions, and journal identity.
 
-The identity refactor keys checkpoints, cache entries and service dedup by
+Checkpoints, cache entries and service dedup are keyed by
 ``workload_fingerprint`` instead of display name.  These tests pin the
-three load-bearing consequences: multi-programmed results round-trip like
-any ``RunResult``, sanitisation collisions can no longer alias entries,
-and pre-fingerprint (name-keyed) files still serve exact hits.
+load-bearing consequences: multi-programmed results round-trip like any
+``RunResult``, sanitisation collisions can no longer alias entries, and a
+journaled job without a workload fingerprint does not replay.
 """
 
 import json
@@ -12,8 +12,9 @@ import json
 import pytest
 
 from repro.cache import ResultCache
-from repro.runner.store import ResultStore, config_fingerprint
-from repro.service.queue import Job
+from repro.runner.store import ResultStore
+from repro.service.journal import Journal
+from repro.service.queue import Job, JobQueue
 from repro.sim.config import skylake_server
 from repro.sim.metrics import MPRunResult, RunResult
 from repro.sim.serialization import result_from_dict, result_to_dict
@@ -101,64 +102,9 @@ class TestSanitisationCollision:
             assert cache.put(config, name, 500, _st_result(name, 100 + i))
         for i, name in enumerate(self.NAMES):
             hit = cache.lookup(config, name, 500)
-            assert hit is not None and not hit.near
-            assert hit.result.workload == name
-            assert hit.result.instructions == 100 + i
-
-
-class TestLegacyCompat:
-    def test_store_reads_legacy_stem(self, tmp_path):
-        config = skylake_server()
-        store = ResultStore(tmp_path, resume=True)
-        res = _st_result("tpcc_like")
-        store.put(config, "tpcc_like", 500, res)
-        new_path = store._path(config, "tpcc_like", 500)
-        legacy_path = store._legacy_path(config, "tpcc_like", 500)
-        new_path.rename(legacy_path)
-        fresh = ResultStore(tmp_path, resume=True)
-        assert fresh.get(config, "tpcc_like", 500) == res
-
-    def test_store_legacy_rejects_foreign_fingerprint(self, tmp_path):
-        # A legacy-stem file recorded under a *different* workload
-        # fingerprint belongs to a different workload that shares the name.
-        config = skylake_server()
-        store = ResultStore(tmp_path, resume=True)
-        store.put(config, "tpcc_like", 500, _st_result("tpcc_like"))
-        new_path = store._path(config, "tpcc_like", 500)
-        legacy_path = store._legacy_path(config, "tpcc_like", 500)
-        payload = json.loads(new_path.read_text())
-        payload["workload_fingerprint"] = "f" * 64
-        legacy_path.write_text(json.dumps(payload))
-        new_path.unlink()
-        fresh = ResultStore(tmp_path, resume=True)
-        assert fresh.get(config, "tpcc_like", 500) is None
-
-    def test_cache_reads_legacy_stem(self, tmp_path):
-        config = skylake_server()
-        cache = ResultCache(tmp_path)
-        res = _st_result("tpcc_like")
-        cache.put(config, "tpcc_like", 500, res)
-        fp = config_fingerprint(config)
-        cache._path(fp, "tpcc_like", 500).rename(
-            cache._legacy_path(fp, "tpcc_like", 500)
-        )
-        hit = ResultCache(tmp_path).lookup(config, "tpcc_like", 500)
-        assert hit is not None and not hit.near
-        assert hit.result == res
-
-    def test_cache_legacy_excluded_from_near(self, tmp_path):
-        config = skylake_server()
-        cache = ResultCache(tmp_path, near=True)
-        cache.put(config, "tpcc_like", 500, _st_result("tpcc_like"))
-        fp = config_fingerprint(config)
-        cache._path(fp, "tpcc_like", 500).rename(
-            cache._legacy_path(fp, "tpcc_like", 500)
-        )
-        fresh = ResultCache(tmp_path, near=True)
-        # Exact (legacy) still hits at the stored length...
-        assert fresh.lookup(config, "tpcc_like", 500) is not None
-        # ...but the legacy entry cannot answer a longer request as "near".
-        assert fresh.lookup(config, "tpcc_like", 800) is None
+            assert hit is not None
+            assert hit.workload == name
+            assert hit.instructions == 100 + i
 
 
 class TestJobDedupKey:
@@ -174,15 +120,16 @@ class TestJobDedupKey:
         job = self._job(workload_fingerprint="abc123")
         assert job.key == ("cfgfp", "abc123", 500)
 
-    def test_legacy_job_keys_by_name(self):
-        # Journals written before the field existed replay with "" and fall
-        # back to name-keyed dedup.
-        job = self._job()
-        assert job.key == ("cfgfp", "tpcc_like", 500)
-
-    def test_from_dict_accepts_legacy_payload(self):
-        payload = self._job().to_dict()
+    def test_record_without_workload_fingerprint_does_not_replay(
+        self, tmp_path
+    ):
+        payload = self._job(workload_fingerprint="abc123").to_dict()
         del payload["workload_fingerprint"]
-        job = Job.from_dict(payload)
-        assert job.workload_fingerprint == ""
-        assert job.key == ("cfgfp", "tpcc_like", 500)
+        journal = Journal(tmp_path / "j.wal", fsync=False)
+        journal.append({"op": "submit", "job": payload})
+        journal.close()
+        queue = JobQueue(Journal(tmp_path / "j.wal", fsync=False))
+        assert len(queue) == 0
+        (error,) = queue.replay_stats.errors
+        assert "workload_fingerprint" in error
+        queue.journal.close()

@@ -26,6 +26,7 @@ from repro.runner import (
     get_runner,
     use_runner,
 )
+from repro.runner.store import read_entry
 from repro.sim.config import no_l2, skylake_server, with_extra_latency
 from repro.caches.hierarchy import Level
 
@@ -59,7 +60,8 @@ class TestStore:
         result = first.run(CFG, "hmmer_like", N)
         files = list(tmp_path.glob("*.json"))
         assert len(files) == 1
-        assert "baseline_server" in files[0].name and "hmmer_like" in files[0].name
+        assert files[0].name.startswith(config_fingerprint(CFG)[:24] + "--")
+        assert files[0].name.endswith("--hmmer_like--2000.json")
 
         second = make_runner(store=ResultStore(tmp_path, resume=True))
         restored = second.run(CFG, "hmmer_like", N)
@@ -136,9 +138,10 @@ class TestStore:
 
         monkeypatch.setattr(os, "replace", refuse)
         store = ResultStore(tmp_path, resume=True)
-        assert store._quarantine(checkpoint) is None
+        assert store.get(CFG, "hmmer_like", N) is None
+        assert store.corrupt_skipped == 1
         assert store.quarantined == []
-        assert checkpoint.exists()  # left in place, counted, not re-parsed
+        assert checkpoint.exists()  # left in place, counted
 
     def test_wrong_schema_checkpoint_rejected(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -147,9 +150,8 @@ class TestStore:
         payload = json.loads(checkpoint.read_text())
         payload["checkpoint_version"] = 99
         checkpoint.write_text(json.dumps(payload))
-        resumed = ResultStore(tmp_path, resume=True)
         with pytest.raises(CheckpointError, match="version"):
-            resumed._read_checkpoint(checkpoint, payload["fingerprint"])
+            read_entry(checkpoint)
 
     def test_clear_drops_memory_keeps_disk(self, tmp_path):
         store = ResultStore(tmp_path, resume=True)

@@ -1,10 +1,9 @@
 """Service-side tests for the result-cache tier and the keying bugfixes.
 
 Covers the ``done-cached`` journal outcome (completion without a lease,
-replay, counters), submit-time cache resolution through a real daemon
-(byte-identical payloads across daemons, near provenance over HTTP),
-the degraded-dedup leak regression, and the fsck exemptions that keep a
-cached state directory clean.
+replay, counters), admission-time cache resolution through a real daemon
+(byte-identical payloads across daemons, no lease race), the
+degraded-dedup leak regression, and fsck on cached state directories.
 """
 
 import json
@@ -13,7 +12,7 @@ import pytest
 
 from repro.cache import ResultCache
 from repro.errors import JobStateError
-from repro.service import DONE, PENDING, build_service, make_server, serve_in_thread
+from repro.service import DONE, PENDING, build_service
 from repro.service.fsck import check_state_dir
 from repro.service.http import preset_configs
 from repro.service.journal import Journal
@@ -43,6 +42,7 @@ def make_queue(state_dir, **kwargs):
 
 def submit(queue, *, fingerprint="fp0", workload=WL, n=50_000, **kwargs):
     kwargs.setdefault("config_name", "cfg")
+    kwargs.setdefault("workload_fingerprint", workload)
     job, deduped = queue.submit(
         {"name": "cfg"}, workload, n, fingerprint=fingerprint, **kwargs
     )
@@ -101,14 +101,14 @@ class TestDoneCachedJournal:
         job, _ = submit(queue)
         queue.complete_cached(
             job.job_id, summary={"ipc": 2.0},
-            provenance={"near_hit": True, "source_key": ["fp0", WL, 1000]},
+            provenance={"cache_hit": True, "key": ["fp0", WL, 50_000]},
         )
         queue.journal.close()
         replayed = make_queue(tmp_path)
         back = replayed.get(job.job_id)
         assert back.state == DONE
         assert back.cached is True
-        assert back.cache_provenance["near_hit"] is True
+        assert back.cache_provenance["cache_hit"] is True
         assert back.summary == {"ipc": 2.0}
         replayed.journal.close()
 
@@ -206,61 +206,40 @@ class TestDaemonCacheResolution:
         # fsck sees a complete state dir.
         assert check_state_dir(tmp_path / "svc2").ok
 
-    def test_near_hit_needs_opt_in_and_carries_provenance(self, tmp_path):
+    def test_no_lease_while_admission_consults_the_cache(self, tmp_path):
+        """An executor polling for work must never lease a job whose
+        admission-time cache lookup is still in flight: the hit is resolved
+        inside the critical section that journals the submission."""
+        import threading
+
         cache = ResultCache(tmp_path / "cache")
         warm = make_service(tmp_path / "warm", cache=cache)
-        _, _ = submit_preset(warm, n=N)
+        submit_preset(warm)
         run_to_idle(warm)
 
-        # Without --cache-near a longer request is a plain miss.
-        strict = make_service(tmp_path / "strict", cache=cache)
-        job, _ = submit_preset(strict, n=2 * N)
-        assert job.state == PENDING
+        service = make_service(tmp_path / "svc", cache=cache)
+        leased, pollers = [], []
+        lookup = cache.lookup
 
-        near = make_service(tmp_path / "near", cache=cache, cache_near=True)
-        est, _ = submit_preset(near, n=2 * N)
-        assert est.state == DONE and est.cached is True
-        prov = est.cache_provenance
-        assert prov["near_hit"] is True
-        assert prov["mode"] == "lower_n"
-        assert prov["requested_n_instrs"] == 2 * N
-        payload = near.result_payload(est)
-        assert payload["telemetry"]["cache"]["near_hit"] is True
-        assert payload["telemetry"]["cache"]["source_key"] == prov["source_key"]
-        # Near estimates never masquerade as checkpoints of the requested
-        # key — and fsck knows the exemption.
-        assert list((tmp_path / "near" / "ckpt").glob("*.json")) == []
-        assert check_state_dir(tmp_path / "near").ok
-        strict.queue.journal.close()
-        near.queue.journal.close()
+        def lookup_while_an_executor_polls(*args, **kwargs):
+            poller = threading.Thread(
+                target=lambda: leased.append(service.queue.lease("svc-exec-0"))
+            )
+            poller.start()
+            poller.join(timeout=0.5)  # blocks on the queue lock when fixed
+            pollers.append(poller)
+            return lookup(*args, **kwargs)
 
-    def test_near_job_result_over_http(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        warm = make_service(tmp_path / "warm", cache=cache)
-        submit_preset(warm, n=N)
-        run_to_idle(warm)
-
-        service = make_service(tmp_path / "svc", cache=cache, cache_near=True)
-        job, _ = submit_preset(service, n=2 * N)
-        server = make_server(service)
-        serve_in_thread(server)
-        host, port = server.server_address
-        try:
-            import urllib.request
-
-            with urllib.request.urlopen(
-                f"http://{host}:{port}/api/v1/jobs/{job.job_id}/result",
-                timeout=10,
-            ) as resp:
-                assert resp.status == 200
-                body = json.loads(resp.read())
-        finally:
-            server.shutdown()
-            server.server_close()
-            service.queue.journal.close()
-        assert body["cached"] is True
-        assert body["cache_provenance"]["near_hit"] is True
-        assert body["result"]["telemetry"]["cache"]["requested_n_instrs"] == 2 * N
+        cache.lookup = lookup_while_an_executor_polls
+        job, _ = submit_preset(service)
+        (poller,) = pollers
+        poller.join(timeout=10)
+        assert not poller.is_alive()
+        assert leased == [None]
+        assert job.state == DONE and job.cached is True
+        assert job.attempts == 0
+        assert service.queue.counters.done_cached == 1
+        service.queue.journal.close()
 
     def test_service_stats_and_gauges_expose_cache_counters(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -288,17 +267,6 @@ class TestFsckCacheAwareness:
         queue.journal.close()
         report = check_state_dir(tmp_path)
         assert any(f.code == "done-no-checkpoint" for f in report.errors)
-
-    def test_near_cached_done_without_checkpoint_is_exempt(self, tmp_path):
-        queue = make_queue(tmp_path)
-        job, _ = submit(queue)
-        queue.complete_cached(
-            job.job_id,
-            provenance={"near_hit": True, "source_key": ["fp0", WL, 1000]},
-        )
-        queue.journal.close()
-        report = check_state_dir(tmp_path)
-        assert not any(f.code == "done-no-checkpoint" for f in report.errors)
 
     def test_degraded_and_full_pair_is_not_a_dedup_duplicate(self, tmp_path):
         queue = make_queue(

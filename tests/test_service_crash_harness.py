@@ -71,7 +71,8 @@ class TestQueueExactlyOnce:
             for i in range(6):
                 job, _ = queue.submit(
                     {"name": f"cfg{i}"}, "wl", 50_000,
-                    fingerprint=f"fp{i:04d}", config_name=f"cfg{i}",
+                    fingerprint=f"fp{i:04d}", workload_fingerprint="wl",
+                    config_name=f"cfg{i}",
                 )
                 jobs.append(job)
                 ack("exists", job)
@@ -109,7 +110,8 @@ class TestQueueExactlyOnce:
             # j5: a late submission that stays pending.
             job, _ = queue.submit(
                 {"name": "late"}, "wl", 50_000,
-                fingerprint="fp-late", config_name="late",
+                fingerprint="fp-late", workload_fingerprint="wl",
+                config_name="late",
             )
             ack("exists", job)
             queue.journal.close()

@@ -89,6 +89,34 @@ class TestCheckClean:
         assert codes(report) == {"journal-missing"}
 
 
+class TestIsolationModes:
+    @pytest.mark.parametrize("isolation", ["thread", "process"])
+    def test_clean_state_dir_under_each_isolation(self, tmp_path, isolation):
+        # Process isolation runs a single-worker fleet whose resume
+        # manifest lands in the checkpoint dir: it is not a checkpoint.
+        service = build_service(
+            tmp_path / "journal.wal", tmp_path / "ckpt", fsync=False,
+            poll_s=0.01, isolation=isolation,
+        )
+        service.submit_config(
+            config_to_dict(preset_configs()["baseline_server"]),
+            "hmmer_like", 2000,
+        )
+        service.start()
+        try:
+            assert service.wait_idle(timeout=120)
+        finally:
+            service.stop()
+            service.queue.journal.close()
+        report = check_state_dir(tmp_path)
+        assert report.ok, [f.to_dict() for f in report.findings]
+        assert report.checked["done_jobs"] == 1
+        assert report.checked["checkpoints"] == 1
+        assert main([str(tmp_path), "--repair"]) == EXIT_OK
+        if isolation == "process":
+            assert (tmp_path / "ckpt" / "manifest.json").exists()
+
+
 class TestCorruptionClasses:
     def test_torn_journal_tail(self, state):
         with open(state / "journal.wal", "ab") as fh:
@@ -307,6 +335,7 @@ def _job_dict(job_id: str, seq: int) -> dict:
         "config_name": "seeded",
         "config": {"name": "seeded"},
         "workload": "wl",
+        "workload_fingerprint": "e" * 64,
         "n_instrs": 1000,
         "state": "pending",
         "submitted_at": 1.0,

@@ -171,6 +171,32 @@ class TestSubmit:
             service.queue.journal.close()
 
 
+class TestKeepAlive:
+    def test_persistent_connection_does_not_stall(self, api):
+        """Headers and body leave in two sends; with Nagle's algorithm on,
+        every response on a kept-alive connection waited for the client's
+        delayed ACK (~40 ms on Linux)."""
+        import http.client
+        import statistics
+        import time
+
+        url, _ = api
+        host, port = url.removeprefix("http://").split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=10)
+        latencies = []
+        try:
+            for _ in range(20):
+                start = time.perf_counter()
+                conn.request("GET", "/api/v1/healthz")
+                response = conn.getresponse()
+                assert response.status == 200
+                json.loads(response.read())
+                latencies.append(time.perf_counter() - start)
+        finally:
+            conn.close()
+        assert statistics.median(latencies) < 0.02, latencies
+
+
 class TestStatusAndResult:
     def test_status_round_trip(self, api):
         url, _ = api
